@@ -10,11 +10,15 @@
 //!
 //! Drives N seeded closed-loop clients with mixed relation sizes, skews
 //! and payload widths against one shared (simulated) GPU, then prints the
-//! service summary. The summary on stdout is byte-for-byte identical for
-//! the same `--seed` at any `--jobs` count — the CI soak step diffs two
-//! runs. Wall-clock timing goes to stderr. `--trace DIR` writes the whole
-//! run as one Chrome `trace_event` timeline (a track per client, a
-//! device-memory counter).
+//! service summary. Every topology — one device or a fleet — runs the
+//! same event loop (`hcj_engines::fleet`) and prints the same summary
+//! shape: the header names the topology, and the cross-device, exchange,
+//! cache, plan and fleet lines are always present (zero when unused). The
+//! summary on stdout is byte-for-byte identical for the same `--seed` at
+//! any `--jobs` count — the CI soak step diffs two runs. Wall-clock
+//! timing goes to stderr. `--trace DIR` writes the whole run as one
+//! Chrome `trace_event` timeline (a track per client, a device-memory
+//! counter, per-device health and memory tracks).
 //!
 //! Defaults contend hard on purpose: the device is the paper's GTX 1080
 //! with capacity divided by `--capacity-div` (default 16384 → 512 KB), so
@@ -46,19 +50,18 @@
 //! with Zipf popularity from the same catalog (THETA from
 //! `--popularity-skew`, default 0.75), intermediates pinned device-
 //! resident when they fit or spilled to the host, named build sides
-//! consulting the cache when `--cache` is on. The summary gains plan
-//! lines (requests, ops, pinned/spilled intermediates) and stays
-//! byte-identical across `--jobs` counts.
+//! consulting the cache when `--cache` is on. The plan lines (requests,
+//! ops, pinned/spilled intermediates) count them.
 //!
-//! `--devices N` (N >= 2) shards the service across N simulated GPUs
-//! (`hcj_engines::fleet`): consistent-hash tenant routing with
-//! spill-to-least-loaded, per-device fault streams, circuit breakers and
-//! device-lost failover — a lost device drains its admitted requests,
-//! releases every reservation and cache pin, and re-routes the queue to
-//! survivors (CPU when the fleet is saturated). The summary gains fleet
-//! and per-device lines and stays byte-identical across `--jobs` counts.
-//! `--devices 1` (the default) is the unsharded single-device service,
-//! byte-identical to pre-fleet builds.
+//! `--devices N` shards the service across N simulated GPUs: consistent-
+//! hash tenant routing with spill-to-least-loaded, per-device fault
+//! streams, circuit breakers and device-lost failover — a lost device
+//! drains its admitted requests, releases every reservation and cache
+//! pin, and re-routes the queue to survivors (CPU when the fleet is
+//! saturated). `--devices 1` (the default) is the single-device service,
+//! a 1-device fleet: its breaker never trips (there is no peer to shift
+//! load onto), and once its device is lost, later single joins run on
+//! the CPU lane.
 //!
 //! `--exchange` (requires a fleet) lets the planner admit joins that
 //! overflow every single device as cross-device partitioned exchanges
@@ -66,10 +69,8 @@
 //! partitions are spread over the serving devices by a weighted
 //! consistent-hash ring, non-local partitions are shuffled over the
 //! modeled interconnect, and the per-device partial joins are merged in
-//! partition order. The summary gains `executed cross-device` and
-//! `exchange out / in` lines when any request takes that path; without
-//! the flag (the default) output is byte-identical to pre-exchange
-//! builds. `--device-mix LIST` (comma-separated device names, e.g.
+//! partition order; the `executed cross-device` and `exchange out / in`
+//! lines count them. `--device-mix LIST` (comma-separated device names, e.g.
 //! `gtx1080,v100,gtx1080`; implies a fleet of that size) serves on a
 //! heterogeneous fleet — each device's capacity comes from its own spec
 //! (scaled by `--capacity-div`) and exchange partition ownership is
@@ -81,7 +82,7 @@ use std::time::Instant;
 
 use hcj_core::GpuJoinConfig;
 use hcj_engines::service::{
-    mixed_workload, plan_workload, skewed_workload, JoinService, PlanShape, ServiceConfig,
+    mixed_workload, plan_workload, skewed_workload, PlanShape, ServiceConfig,
 };
 use hcj_engines::{BuildCacheConfig, FleetConfig, FleetService, HcjEngine};
 use hcj_gpu::{DeviceSpec, FaultConfig};
@@ -317,9 +318,6 @@ fn main() -> ExitCode {
         device_mix,
         ..
     } = opts;
-    // A mix fixes the fleet width; parse_args rejected combining it with
-    // --devices, so this count is the one the header and service use.
-    let fleet_width = if device_mix.is_empty() { devices } else { device_mix.len() };
     // Quick mode: the CI soak — 8 clients x 25 requests = 200, small
     // relations, same contention regime. Plans carry 2-4 joins each, so
     // their quick run issues fewer, heavier requests.
@@ -366,7 +364,7 @@ fn main() -> ExitCode {
 
     println!(
         "# hcj join service soak — seed {seed}, {clients} clients x {requests} requests, \
-         device {} KB, chaos {}, deadline {}, cache {}, skew {}{}{}",
+         device {} KB, chaos {}, deadline {}, cache {}, skew {}{}{}{}",
         device.device_mem_bytes >> 10,
         match chaos {
             Some(s) => format!("seed {s}"),
@@ -387,34 +385,26 @@ fn main() -> ExitCode {
             Some(PlanShape::Star) => ", plan star",
             None => "",
         },
-        // Fleet runs announce their topology; --devices 1 keeps the
-        // header (and everything after it) byte-identical to pre-fleet
-        // builds.
-        match (fleet_width > 1, device_mix.is_empty(), exchange) {
-            (false, ..) => String::new(),
-            (true, true, false) => format!(", fleet {fleet_width} devices"),
-            (true, true, true) => format!(", fleet {fleet_width} devices, exchange on"),
-            (true, false, false) => format!(", fleet mix {}", device_mix.join("+")),
-            (true, false, true) => {
-                format!(", fleet mix {}, exchange on", device_mix.join("+"))
-            }
+        // A mix fixes the fleet width; parse_args rejected combining it
+        // with --devices.
+        if device_mix.is_empty() {
+            format!(", fleet {devices} device{}", if devices == 1 { "" } else { "s" })
+        } else {
+            format!(", fleet mix {}", device_mix.join("+"))
         },
+        if exchange { ", exchange on" } else { "" },
     );
     let started = Instant::now();
-    let report = if fleet_width > 1 {
-        let mut fleet_config = if device_mix.is_empty() {
-            FleetConfig::new(fleet_width)
-        } else {
-            let specs = device_mix.iter().map(|n| mix_spec(n, capacity_div)).collect();
-            FleetConfig::new(0).with_device_mix(specs)
-        };
-        if exchange {
-            fleet_config = fleet_config.with_exchange();
-        }
-        FleetService::new(engine, service_config, fleet_config).run(&workload)
+    let mut fleet_config = if device_mix.is_empty() {
+        FleetConfig::new(devices)
     } else {
-        JoinService::new(engine, service_config).run(&workload)
+        let specs = device_mix.iter().map(|n| mix_spec(n, capacity_div)).collect();
+        FleetConfig::new(0).with_device_mix(specs)
     };
+    if exchange {
+        fleet_config = fleet_config.with_exchange();
+    }
+    let report = FleetService::new(engine, service_config, fleet_config).run(&workload);
     eprintln!("  [{total} requests served in {:.1?} wall-clock]", started.elapsed());
 
     print!("{}", report.summary());
@@ -504,7 +494,7 @@ mod tests {
     fn devices_flag_parses_and_rejects_out_of_range() {
         assert_eq!(parse_args(&argv(&["--devices", "3"])).unwrap().devices, 3);
         assert_eq!(parse_args(&argv(&["--devices", "1"])).unwrap().devices, 1);
-        assert_eq!(parse_args(&argv(&[])).unwrap().devices, 1, "default is the unsharded service");
+        assert_eq!(parse_args(&argv(&[])).unwrap().devices, 1, "default is a 1-device fleet");
         assert!(parse_args(&argv(&["--devices", "0"])).is_err());
         assert!(parse_args(&argv(&["--devices", "33"])).is_err());
         assert!(parse_args(&argv(&["--devices"])).is_err());

@@ -126,7 +126,7 @@ struct Entry {
 }
 
 /// Aggregate cache state for the service report.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct CacheReport {
     /// Hit/miss/evict/reclaim/invalidation counts.
     pub counters: CacheCounters,

@@ -1,21 +1,24 @@
-//! A multi-device join fleet: [`crate::service::JoinService`] sharded
-//! across N simulated GPUs, with per-device health and failover.
+//! The join service's one virtual-time event loop, over a fleet of N
+//! simulated GPUs with per-device health and failover. Topology is data:
+//! [`crate::service::JoinService`] runs this loop over
+//! [`FleetConfig::new(1)`](FleetConfig::new), [`FleetService`] over any
+//! [`FleetConfig`].
 //!
 //! Each device owns its own [`DeviceMemory`] accountant, optional
 //! [`BuildCache`], bounded dispatch queue and decorrelated fault stream
 //! ([`hcj_gpu::FaultConfig::reseeded_pair`] mixes the device id with the
 //! request id, so no two (device, request) pairs replay one verdict
-//! stream). Tenant→device routing is consistent hashing over a replica
-//! ring keyed by client id — a tenant's requests land on the same device
-//! run after run, which is what gives the per-device build caches their
-//! affinity — with spill-to-least-loaded when the preferred queue is
-//! full.
+//! stream; device 0's streams are the per-request `reseeded` streams).
+//! Tenant→device routing is consistent hashing over a replica ring keyed
+//! by client id — a tenant's requests land on the same device run after
+//! run, which is what gives the per-device build caches their affinity —
+//! with spill-to-least-loaded when the preferred queue is full.
 //!
 //! The robustness core is a per-device health state machine:
 //!
 //! ```text
 //!   Healthy ──fault seen──▶ Degraded ──K faults in window──▶ Quarantined
-//!      ▲                        │                                 │
+//!      ▲                        │         (and a peer serving)       │
 //!      └──window drains─────────┘        half-open probe clean────┘
 //!                 (any state) ──sticky device-lost──▶ Lost
 //! ```
@@ -26,7 +29,10 @@
 //!   re-routed to surviving devices and new traffic avoids the device
 //!   until a cooldown expires, after which a single half-open *probe*
 //!   request is admitted; a clean probe re-admits the device, a faulty
-//!   one re-arms the cooldown.
+//!   one re-arms the cooldown. Quarantine exists to shift load onto
+//!   peers, so a breaker trips only while another device is serving: a
+//!   lone serving device (the single-device service included) stays
+//!   Degraded however many faults its window holds.
 //! * **Lost** — an execution surfaced the sticky device-lost fault. The
 //!   loss *drains* the device: every admitted-but-unfinished request
 //!   releases its [`Reservation`] and cache pins, the device's cache is
@@ -34,15 +40,20 @@
 //!   re-warmed onto the adopting device first), and the drained queue is
 //!   re-routed to surviving devices — re-planned against the adopting
 //!   device's free capacity, or onto the host CPU when the fleet is
-//!   saturated. Lost is terminal.
+//!   saturated. Lost is terminal on every topology: once a lone device is
+//!   lost, single joins run on the CPU lane and plans fail typed.
 //!
-//! Everything runs on the same single-threaded virtual-time event loop
-//! as the single-device service — only admitted-batch execution fans out
-//! onto the host pool, and results merge in batch order — so fleet
-//! summaries are byte-identical across `--jobs` counts and runs. Health
-//! observations ride on request completions: the loop learns what an
-//! execution injected when the execution reports back, which keeps every
-//! transition at a deterministic event time.
+//! Everything runs on one single-threaded virtual-time event loop — only
+//! admitted-batch execution fans out onto the host pool, and results
+//! merge in batch order — so summaries are byte-identical across `--jobs`
+//! counts and runs. Health observations ride on request completions: the
+//! loop learns what an execution injected when the execution reports
+//! back, which keeps every transition at a deterministic event time.
+//!
+//! The run renders as one Chrome timeline: a track per client (wait and
+//! execution spans; cache-hit, fault and deadline marks), a fleet-wide
+//! `device reserved (B)` counter, per-device health tracks and memory
+//! counters, and the router and CPU-lane tracks.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -87,8 +98,7 @@ pub struct FleetConfig {
     pub rewarm_limit: usize,
     /// Admit joins too large for any single device as cross-device
     /// exchange joins ([`crate::exchange`]) instead of degrading them down
-    /// the single-device ladder. Off by default: pre-exchange fleets keep
-    /// byte-identical behaviour.
+    /// the single-device ladder. Off by default.
     pub exchange: bool,
     /// Per-device hardware specs for a heterogeneous fleet. `None` means
     /// every device runs the engine's configured spec. When set, each
@@ -192,7 +202,7 @@ pub struct DeviceRollup {
 }
 
 /// Fleet-level rollup attached to [`ServiceReport::fleet`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FleetRollup {
     /// Per-device rollups, in device order.
     pub devices: Vec<DeviceRollup>,
@@ -217,7 +227,7 @@ impl FleetRollup {
     }
 }
 
-/// Calendar events of the fleet's virtual-time loop.
+/// Calendar events of the virtual-time loop.
 enum Event {
     /// A client submits request `index`.
     Submit { client: usize, index: usize },
@@ -322,9 +332,9 @@ struct DeviceState {
     adopted: u64,
     rewarmed: u64,
     transitions: Vec<(SimTime, DeviceHealth)>,
-    /// Per-device sub-timeline, absorbed into the fleet view at the end.
+    /// Per-device sub-timeline (health marks, memory counter), absorbed
+    /// into the run's timeline at the end.
     timeline: Timeline,
-    exec: TrackId,
     health_track: TrackId,
     mem_counter: CounterId,
     mem_sampled: u64,
@@ -333,7 +343,6 @@ struct DeviceState {
 impl DeviceState {
     fn new(id: usize, capacity: u64, cache_budget: Option<u64>) -> Self {
         let mut timeline = Timeline::new(format!("device {id}"));
-        let exec = timeline.track("exec");
         let health_track = timeline.track("health");
         let mem_counter = timeline.counter("reserved (B)");
         DeviceState {
@@ -352,7 +361,6 @@ impl DeviceState {
             rewarmed: 0,
             transitions: Vec::new(),
             timeline,
-            exec,
             health_track,
             mem_counter,
             mem_sampled: 0,
@@ -378,18 +386,51 @@ impl DeviceState {
     }
 }
 
-/// Per-request live state (metrics plus fleet loop bookkeeping).
-struct FleetRequest {
+/// Reserve `bytes` on `memory`. Cached bytes are reclaimable, not
+/// tenants: on rejection, evict cold entries (sparing `protect`) and
+/// retry once before the caller treats it as pressure.
+fn reserve_reclaiming(
+    memory: &DeviceMemory,
+    cache: Option<&mut BuildCache>,
+    bytes: u64,
+    protect: Option<u64>,
+) -> Option<Reservation> {
+    memory.reserve(bytes).ok().or_else(|| {
+        let c = cache?;
+        if c.reclaim(memory, bytes, protect) {
+            memory.reserve(bytes).ok()
+        } else {
+            None
+        }
+    })
+}
+
+/// Per-request live state (metrics plus loop bookkeeping).
+struct Request {
     metrics: RequestMetrics,
+    /// Materialized inputs; held until the request finalizes, because a
+    /// drain re-dispatches it on the adopting device.
     inputs: Option<(Relation, Relation)>,
+    /// Current rung on the ladder (degrades under pressure).
     level: PlannedStrategy,
+    /// Failed attempts at the current rung.
     attempts: u32,
+    /// Not eligible for admission before this time (backoff).
     eligible_at: SimTime,
+    /// Held from admission to completion.
     reservation: Option<Reservation>,
+    /// Catalog identity of the build side, copied from the spec.
     build: Option<BuildRef>,
+    /// On a cache hit: the pinned resident table, held from admission to
+    /// completion so eviction cannot free it mid-flight.
     hit: Option<Arc<CachedTable>>,
+    /// On a cache miss that rebuilt: the table the execution produced,
+    /// installed into the cache at completion.
     install: Option<CachedBuild>,
-    plan: Option<FleetPlanWork>,
+    /// Plan-request state; `None` for single joins.
+    plan: Option<PlanWork>,
+    /// Set exactly once, by `Complete` or by a deadline cancellation;
+    /// whichever fires second sees the flag and becomes a no-op.
     done: bool,
     /// Device currently queued on / running on; `None` while parked or on
     /// the CPU lane.
@@ -414,16 +455,55 @@ struct FleetRequest {
     lost_participants: Vec<usize>,
 }
 
-/// Live state of a multi-join plan request (fleet copy of the service's
-/// private `PlanWork`; scans regenerate from the spec after a drain).
-struct FleetPlanWork {
+impl Request {
+    /// A rejected admission: count the retry, step one rung down the
+    /// ladder after `max_retries` failures at this rung (every join of a
+    /// plan steps together), and back off.
+    fn reject(&mut self, config: &ServiceConfig, now: SimTime) {
+        self.metrics.retries += 1;
+        self.attempts += 1;
+        if self.attempts > config.max_retries {
+            let stepped = match self.plan.as_mut() {
+                Some(pw) if pw.degrade < PlannedStrategy::LADDER.len() - 1 => {
+                    pw.degrade += 1;
+                    true
+                }
+                Some(_) => false,
+                None => self.level.degraded().map(|next| self.level = next).is_some(),
+            };
+            if stepped {
+                self.attempts = 0;
+            }
+        }
+        self.eligible_at = now + config.backoff(self.attempts.max(1));
+    }
+
+    /// Admitted onto `device` holding `reservation`.
+    fn admit(&mut self, reservation: Reservation, device: usize, used: u64, now: SimTime) {
+        self.reservation = Some(reservation);
+        self.running = true;
+        self.metrics.admitted_at = now;
+        self.metrics.device_used_at_admit = used;
+        self.metrics.device = Some(device);
+    }
+}
+
+/// Live state of a multi-join plan request.
+struct PlanWork {
+    /// The operator DAG to execute.
     spec: PlanSpec,
+    /// Materialized scan outputs, indexed by op id; taken at dispatch.
     scans: Option<Vec<Option<Relation>>>,
+    /// Ladder rungs every join is stepped down (admission-retry
+    /// escalation, the plan analogue of a single join's `level`).
     degrade: usize,
+    /// The execution's result, held from dispatch to completion: its
+    /// pins keep intermediates reserved and its installs await the
+    /// cache, exactly like a single request's reservation + install.
     run: Option<PlanRun>,
 }
 
-impl FleetPlanWork {
+impl PlanWork {
     /// Materialized scan outputs: taken at dispatch, regenerated from the
     /// (pure) spec when a drain discarded the originals.
     fn take_scans(&mut self) -> Vec<Option<Relation>> {
@@ -441,8 +521,7 @@ fn generate_scans(spec: &PlanSpec) -> Vec<Option<Relation>> {
         .collect()
 }
 
-/// What one pooled execution returned (fleet copy of the service's
-/// `Executed`, plus the lane it ran on).
+/// What one pooled single-join execution returned.
 struct Executed {
     strategy: Option<PlannedStrategy>,
     check: JoinCheck,
@@ -450,9 +529,15 @@ struct Executed {
     duration: SimTime,
     faults: FaultSummary,
     counters: CounterRollup,
+    /// `(offset into the execution, label)` per fault event, for
+    /// timeline markers at loop time.
     fault_marks: Vec<(SimTime, String)>,
     error: Option<&'static str>,
+    /// The build a cache-miss execution produced, for installation at
+    /// completion.
     install: Option<CachedBuild>,
+    /// A broken invariant observed inside the (possibly parallel)
+    /// execution closure, reported typed.
     invariant: Option<String>,
 }
 
@@ -474,17 +559,30 @@ impl FleetService {
 
     /// Drive the whole workload to completion across the fleet.
     pub fn run(&self, workload: &[ClientSpec]) -> ServiceReport {
-        FleetRun::new(self, workload).run()
+        run_fleet(&self.engine, &self.config, &self.fleet, workload)
     }
 }
 
-/// One fleet run's mutable state; `FleetService::run` drives it.
+/// Drive `workload` to completion through the event loop over topology
+/// `fleet`, with per-device admission policy `config`.
+pub(crate) fn run_fleet(
+    engine: &HcjEngine,
+    config: &ServiceConfig,
+    fleet: &FleetConfig,
+    workload: &[ClientSpec],
+) -> ServiceReport {
+    FleetRun::new(engine, config, fleet, workload).run()
+}
+
+/// One run's mutable state; [`run_fleet`] drives it.
 struct FleetRun<'a> {
-    svc: &'a FleetService,
+    engine: &'a HcjEngine,
+    config: &'a ServiceConfig,
+    fleet: &'a FleetConfig,
     workload: &'a [ClientSpec],
     ring: Ring,
     devices: Vec<DeviceState>,
-    requests: Vec<FleetRequest>,
+    requests: Vec<Request>,
     /// Fleet-level backpressure FIFO: requests no device had room for.
     parked: VecDeque<usize>,
     /// Requests routed to the host CPU lane, awaiting execution.
@@ -493,9 +591,18 @@ struct FleetRun<'a> {
     seq: u64,
     invariants: Vec<String>,
     timeline: Timeline,
-    /// Router-level marks: drains, deadline cancellations, CPU spills.
+    /// One track per client: wait and execution spans, cache-hit, fault
+    /// and deadline marks.
+    clients: Vec<TrackId>,
+    /// Reserved bytes summed over every device.
+    reserved: CounterId,
+    reserved_sampled: u64,
+    /// Resident cached bytes summed over every device (cache on only).
+    cached: Option<CounterId>,
+    cached_sampled: u64,
+    /// Router-level marks: device losses, drains, exhausted-fleet fails.
     router: TrackId,
-    /// Host-lane execution spans.
+    /// CPU-lane marks: spills of requests no device could take.
     cpu_track: TrackId,
     makespan: SimTime,
     drained: u64,
@@ -506,29 +613,38 @@ struct FleetRun<'a> {
 }
 
 impl<'a> FleetRun<'a> {
-    fn new(svc: &'a FleetService, workload: &'a [ClientSpec]) -> Self {
-        let default_capacity = svc.engine.config.device.device_mem_bytes;
-        let devices: Vec<DeviceState> = (0..svc.fleet.devices)
+    fn new(
+        engine: &'a HcjEngine,
+        config: &'a ServiceConfig,
+        fleet: &'a FleetConfig,
+        workload: &'a [ClientSpec],
+    ) -> Self {
+        let default_capacity = engine.config.device.device_mem_bytes;
+        let devices: Vec<DeviceState> = (0..fleet.devices)
             .map(|d| {
                 // A heterogeneous fleet sizes each device (and its cache
                 // budget) from its own spec.
-                let capacity = svc
-                    .fleet
+                let capacity = fleet
                     .device_specs
                     .as_ref()
                     .and_then(|specs| specs.get(d))
                     .map_or(default_capacity, |spec| spec.device_mem_bytes);
-                let budget = svc.config.cache.as_ref().map(|cfg| cfg.resolved_max_bytes(capacity));
+                let budget = config.cache.as_ref().map(|cfg| cfg.resolved_max_bytes(capacity));
                 DeviceState::new(d, capacity, budget)
             })
             .collect();
-        let mut timeline = Timeline::new("hcj join fleet");
+        let mut timeline = Timeline::new("hcj join service");
+        let clients = (0..workload.len()).map(|c| timeline.track(format!("client {c}"))).collect();
+        let reserved = timeline.counter("device reserved (B)");
+        let cached = config.cache.as_ref().map(|_| timeline.counter("build cache (B)"));
         let router = timeline.track("router");
         let cpu_track = timeline.track("cpu fallback");
         FleetRun {
-            svc,
+            engine,
+            config,
+            fleet,
             workload,
-            ring: Ring::new(svc.fleet.devices, svc.fleet.ring_replicas),
+            ring: Ring::new(fleet.devices, fleet.ring_replicas),
             devices,
             requests: Vec::new(),
             parked: VecDeque::new(),
@@ -537,6 +653,11 @@ impl<'a> FleetRun<'a> {
             seq: 0,
             invariants: Vec::new(),
             timeline,
+            clients,
+            reserved,
+            reserved_sampled: 0,
+            cached,
+            cached_sampled: 0,
             router,
             cpu_track,
             makespan: SimTime::ZERO,
@@ -556,12 +677,11 @@ impl<'a> FleetRun<'a> {
     /// The hardware spec of `device`: its own mix entry, or the engine's
     /// configured spec in a homogeneous fleet.
     fn spec_of(&self, device: usize) -> &DeviceSpec {
-        self.svc
-            .fleet
+        self.fleet
             .device_specs
             .as_ref()
             .and_then(|specs| specs.get(device))
-            .unwrap_or(&self.svc.engine.config.device)
+            .unwrap_or(&self.engine.config.device)
     }
 
     /// Serving (Healthy/Degraded) devices, in id order.
@@ -573,13 +693,13 @@ impl<'a> FleetRun<'a> {
     /// is on (cross-device for single-device overflows), the single-device
     /// planner otherwise.
     fn plan_join(&self, build_bytes: u64, probe_bytes: u64) -> PlannedStrategy {
-        if !self.svc.fleet.exchange {
-            return self.svc.engine.plan_sized(build_bytes, probe_bytes);
+        if !self.fleet.exchange {
+            return self.engine.plan_sized(build_bytes, probe_bytes);
         }
         let serving = self.serving_devices();
         let min_capacity =
             serving.iter().map(|&d| self.devices[d].memory.capacity()).min().unwrap_or(0);
-        self.svc.engine.plan_fleet_sized(build_bytes, probe_bytes, serving.len(), min_capacity)
+        self.engine.plan_fleet_sized(build_bytes, probe_bytes, serving.len(), min_capacity)
     }
 
     /// Route `req` (fresh, displaced or drained). `adopting` marks a
@@ -588,7 +708,7 @@ impl<'a> FleetRun<'a> {
     fn route(&mut self, req: usize, now: SimTime, adopting: bool) {
         let is_plan = self.requests[req].plan.is_some();
         let key = self.requests[req].metrics.client as u64;
-        let depth = self.svc.config.queue_depth;
+        let depth = self.config.queue_depth;
         let primary = self.ring.route(key, |d| self.devices[d].health != DeviceHealth::Lost);
         let least_loaded = |devs: &[DeviceState], need_room: bool| -> Option<usize> {
             devs.iter()
@@ -670,7 +790,7 @@ impl<'a> FleetRun<'a> {
                 self.cpu_queue.push(req);
                 self.cpu_spilled += 1;
                 let (c, i) = (st.metrics.client, st.metrics.index);
-                self.timeline.instant(self.router, format!("cpu spill r{c}.{i}"), 12, now);
+                self.timeline.instant(self.cpu_track, format!("cpu spill r{c}.{i}"), 12, now);
             }
             Route::Park => {
                 self.requests[req].assigned = None;
@@ -704,7 +824,7 @@ impl<'a> FleetRun<'a> {
     /// footprint fits what is actually free right now.
     fn replan_for(&mut self, req: usize, device: usize) {
         let available = self.devices[device].memory.available();
-        let engine = &self.svc.engine;
+        let engine = &self.engine;
         let st = &mut self.requests[req];
         if let Some(pw) = st.plan.as_mut() {
             let floor = PlannedStrategy::LADDER.len() - 1;
@@ -723,7 +843,7 @@ impl<'a> FleetRun<'a> {
             self.requests[req].level = level;
             return;
         }
-        let engine = &self.svc.engine;
+        let engine = &self.engine;
         while engine.footprint_estimate_sized(level, b, p) > available {
             match level.degraded() {
                 Some(next) => level = next,
@@ -736,10 +856,7 @@ impl<'a> FleetRun<'a> {
     /// Schedule the client's next closed-loop submission, if any.
     fn next_submit(&mut self, client: usize, index: usize, now: SimTime) {
         if index + 1 < self.workload[client].requests.len() {
-            self.schedule(
-                now + self.svc.config.think_time,
-                Event::Submit { client, index: index + 1 },
-            );
+            self.schedule(now + self.config.think_time, Event::Submit { client, index: index + 1 });
         }
     }
 
@@ -749,7 +866,7 @@ impl<'a> FleetRun<'a> {
         let d = &mut self.devices[device];
         d.trips += 1;
         d.transition(DeviceHealth::Quarantined, now);
-        d.half_open_at = now + self.svc.fleet.quarantine_cooldown;
+        d.half_open_at = now + self.fleet.quarantine_cooldown;
         d.probe = None;
         let displaced: Vec<usize> = d.queue.drain(..).collect();
         for req in displaced {
@@ -826,7 +943,7 @@ impl<'a> FleetRun<'a> {
         // rest. Re-warmed builds are cloned — the survivor reserves its
         // own bytes; nothing keeps pointing at the dead device.
         if let Some(mut cache) = self.devices[device].cache.take() {
-            let hot = cache.hottest(self.svc.fleet.rewarm_limit);
+            let hot = cache.hottest(self.fleet.rewarm_limit);
             self.cache_invalidated += cache.invalidate_all() as u64;
             self.devices[device].cache = Some(cache);
             for (bref, build) in hot {
@@ -851,7 +968,6 @@ impl<'a> FleetRun<'a> {
                 self.devices[device].memory.used()
             ));
         }
-        self.devices[device].sample_memory(now);
 
         // Re-route drained requests first (they were in flight), then the
         // displaced queue, both in FIFO/id order.
@@ -864,8 +980,9 @@ impl<'a> FleetRun<'a> {
     }
 
     /// Health observation at a request's completion: device-lost drains
-    /// the device; transient faults feed the breaker window; a finishing
-    /// probe decides re-admission.
+    /// the device; transient faults feed the breaker window, which trips
+    /// only while a peer is serving; a finishing probe decides
+    /// re-admission.
     fn observe_completion(&mut self, req: usize, now: SimTime) {
         let Some(device) = self.requests[req].assigned else { return };
         let faults = self.requests[req].metrics.faults;
@@ -891,6 +1008,10 @@ impl<'a> FleetRun<'a> {
             self.device_lost(device, now);
             return;
         }
+        // Quarantine shifts load onto peers; with no other device serving
+        // there is nowhere to shift it, so the breaker stays closed.
+        let peer_serving =
+            self.devices.iter().enumerate().any(|(i, d)| i != device && d.health.serving());
         let d = &mut self.devices[device];
         let transient = (faults.transfer_faults + faults.kernel_faults) as usize;
         for _ in 0..transient {
@@ -898,7 +1019,7 @@ impl<'a> FleetRun<'a> {
         }
         match d.health {
             DeviceHealth::Healthy | DeviceHealth::Degraded => {
-                if d.window.len() >= self.svc.fleet.breaker_threshold {
+                if peer_serving && d.window.len() >= self.fleet.breaker_threshold {
                     self.trip(device, now);
                 } else if transient > 0 && d.health == DeviceHealth::Healthy {
                     d.transition(DeviceHealth::Degraded, now);
@@ -912,7 +1033,7 @@ impl<'a> FleetRun<'a> {
                     d.transition(DeviceHealth::Healthy, now);
                 } else {
                     // Faulty probe: re-arm the cooldown.
-                    d.half_open_at = now + self.svc.fleet.quarantine_cooldown;
+                    d.half_open_at = now + self.fleet.quarantine_cooldown;
                 }
             }
             _ => {}
@@ -922,7 +1043,7 @@ impl<'a> FleetRun<'a> {
     /// Slide breaker windows forward and let drained-out Degraded devices
     /// recover to Healthy.
     fn health_maintenance(&mut self, now: SimTime) {
-        let window = self.svc.fleet.breaker_window;
+        let window = self.fleet.breaker_window;
         for d in self.devices.iter_mut() {
             while d.window.front().is_some_and(|&t| t + window <= now) {
                 d.window.pop_front();
@@ -999,7 +1120,7 @@ impl<'a> FleetRun<'a> {
                 let open_queue = self
                     .devices
                     .iter()
-                    .any(|d| d.health.serving() && d.queue.len() < self.svc.config.queue_depth);
+                    .any(|d| d.health.serving() && d.queue.len() < self.config.queue_depth);
                 if open_queue || !self.devices.iter().any(|d| d.health.serving()) {
                     self.route(req, now, false);
                 } else {
@@ -1041,16 +1162,38 @@ impl<'a> FleetRun<'a> {
             if !batch.is_empty() {
                 self.execute_batch(&batch, now);
             }
-            for d in self.devices.iter_mut() {
-                d.sample_memory(now);
-            }
+            self.sample_counters(now);
             self.audit(now);
         }
 
         self.finish()
     }
 
+    /// Sample the memory counters (per device, fleet-wide reserved, and
+    /// resident cached bytes) wherever the figure moved.
+    fn sample_counters(&mut self, now: SimTime) {
+        for d in self.devices.iter_mut() {
+            d.sample_memory(now);
+        }
+        let reserved: u64 = self.devices.iter().map(|d| d.memory.used()).sum();
+        if reserved != self.reserved_sampled {
+            self.reserved_sampled = reserved;
+            self.timeline.sample(self.reserved, now, reserved as f64);
+        }
+        if let Some(counter) = self.cached {
+            let cached: u64 =
+                self.devices.iter().filter_map(|d| d.cache.as_ref()).map(|c| c.bytes()).sum();
+            if cached != self.cached_sampled {
+                self.cached_sampled = cached;
+                self.timeline.sample(counter, now, cached as f64);
+            }
+        }
+    }
+
     fn on_submit(&mut self, client: usize, index: usize, now: SimTime) {
+        // Materialize the query's inputs and plan it: a single join sizes
+        // its build/probe sides; a plan generates its scans and sizes its
+        // root join.
         let (inputs, build, plan, planned) = match &self.workload[client].requests[index] {
             QuerySpec::Join(spec) => {
                 let (r, s) = (spec.r.generate(), spec.s.generate());
@@ -1059,18 +1202,18 @@ impl<'a> FleetRun<'a> {
                 (Some((r, s)), spec.build, None, planned)
             }
             QuerySpec::Plan(plan) => {
-                let work = FleetPlanWork {
+                let work = PlanWork {
                     scans: Some(generate_scans(plan)),
                     spec: plan.clone(),
                     degrade: 0,
                     run: None,
                 };
-                let planned = planned_root(&self.svc.engine, plan);
+                let planned = planned_root(self.engine, plan);
                 (None, None, Some(work), planned)
             }
         };
         let id = self.requests.len();
-        self.requests.push(FleetRequest {
+        self.requests.push(Request {
             metrics: RequestMetrics {
                 client,
                 index,
@@ -1111,7 +1254,7 @@ impl<'a> FleetRun<'a> {
             participants: Vec::new(),
             lost_participants: Vec::new(),
         });
-        if let Some(budget) = self.svc.config.deadline {
+        if let Some(budget) = self.config.deadline {
             self.schedule(now + budget, Event::Deadline { req: id });
         }
         self.route(id, now, false);
@@ -1123,96 +1266,72 @@ impl<'a> FleetRun<'a> {
             // re-dispatched under a newer epoch.
             return;
         }
-        self.requests[req].done = true;
-        self.requests[req].running = false;
-        self.requests[req].metrics.completed_at = now;
-        self.requests[req].reservation = None;
-        self.requests[req].extra_reservations.clear();
-        self.requests[req].hit = None;
-        self.requests[req].inputs = None;
-        let install = self.requests[req].install.take();
-        let bref = self.requests[req].build;
-        let plan_run = self.requests[req].plan.as_mut().and_then(|pw| pw.run.take());
+        let st = &mut self.requests[req];
+        st.done = true;
+        st.running = false;
+        st.metrics.completed_at = now;
+        st.reservation = None; // frees the accounted bytes
+        st.extra_reservations.clear();
+        st.hit = None; // unpin the cached table, if any
+        st.inputs = None;
+        let install = st.install.take();
+        let bref = st.build;
+        let plan_run = st.plan.as_mut().and_then(|pw| pw.run.take());
         self.makespan = self.makespan.max(now);
 
+        // Render the request onto its client's track.
+        let m = &self.requests[req].metrics;
+        let (client, index, admitted) = (m.client, m.index, m.admitted_at);
+        let track = self.clients[client];
+        if m.queue_wait() > SimTime::ZERO {
+            let wait = format!("wait r{client}.{index}");
+            self.timeline.span(track, wait, 0, m.submitted_at, admitted);
+        }
+        // Installs land only on a live device (a lost one has nothing to
+        // install into), now that the request's own reservation is free.
         let device = self.requests[req].assigned;
-        let (client, index) = {
-            let m = &self.requests[req].metrics;
-            (m.client, m.index)
-        };
-        // Render the execution onto its lane's track.
-        if let Some(d) = device {
-            let admitted = self.requests[req].metrics.admitted_at;
-            if let Some(run) = plan_run {
-                let PlanRun { ops, pins, installs, .. } = run;
-                for op in &ops {
-                    if op.kind != "join" {
-                        continue;
-                    }
-                    let class = op.executed.map_or(9, |e| e.rank() as u32 + 1);
-                    let name = match op.executed {
-                        Some(e) => format!("op{} {e} r{client}.{index}", op.op),
-                        None => format!("op{} failed r{client}.{index}", op.op),
-                    };
-                    let track = self.devices[d].exec;
-                    self.devices[d].timeline.span(
-                        track,
-                        name,
-                        class,
-                        admitted + op.start,
-                        admitted + op.finish,
-                    );
-                    for (offset, label) in &op.fault_marks {
-                        self.devices[d].timeline.instant(
-                            track,
-                            label.clone(),
-                            8,
-                            admitted + op.start + *offset,
-                        );
-                    }
+        let live = device.filter(|&d| self.devices[d].health != DeviceHealth::Lost);
+        if let Some(run) = plan_run {
+            // A plan renders as one span per join op at its virtual
+            // interval within the request. Pinned intermediates release
+            // here, and installs land now that the envelope is free.
+            let PlanRun { ops, pins, installs, .. } = run;
+            for op in ops.iter().filter(|op| op.kind == "join") {
+                let class = op.executed.map_or(9, |e| e.rank() as u32 + 1);
+                let name = match op.executed {
+                    Some(e) => format!("op{} {e} r{client}.{index}", op.op),
+                    None => format!("op{} failed r{client}.{index}", op.op),
+                };
+                let start = admitted + op.start;
+                self.timeline.span(track, name, class, start, admitted + op.finish);
+                if op.cache_role == CacheRole::Hit && op.error.is_none() {
+                    let hit = format!("cache hit r{client}.{index} op{}", op.op);
+                    self.timeline.instant(track, hit, 10, start);
                 }
-                self.requests[req].metrics.plan_ops = ops;
-                drop(pins);
-                if self.devices[d].health != DeviceHealth::Lost {
-                    let da = &mut self.devices[d];
-                    if let Some(c) = da.cache.as_mut() {
-                        for (b, built) in installs {
-                            c.insert(b, &da.memory, built);
-                        }
-                    }
+                for (offset, label) in &op.fault_marks {
+                    self.timeline.instant(track, label.clone(), 8, start + *offset);
                 }
-            } else if let Some(executed) = self.requests[req].metrics.executed {
-                let track = self.devices[d].exec;
-                self.devices[d].timeline.span(
-                    track,
-                    format!("{executed} r{client}.{index}"),
-                    executed.rank() as u32 + 1,
-                    admitted,
-                    now,
-                );
             }
-            // Install the table a cache-miss execution built — unless the
-            // device died while we ran (nothing to install into).
-            if self.devices[d].health != DeviceHealth::Lost {
-                if let (Some(built), Some(b)) = (install, bref) {
-                    let da = &mut self.devices[d];
-                    if let Some(c) = da.cache.as_mut() {
+            self.requests[req].metrics.plan_ops = ops;
+            drop(pins);
+            if let Some(da) = live.map(|d| &mut self.devices[d]) {
+                if let Some(c) = da.cache.as_mut() {
+                    for (b, built) in installs {
                         c.insert(b, &da.memory, built);
                     }
                 }
             }
-            self.devices[d].completed += 1;
-            self.devices[d].sample_memory(now);
         } else if let Some(executed) = self.requests[req].metrics.executed {
-            // CPU lane: host-side span on the fleet timeline.
-            let admitted = self.requests[req].metrics.admitted_at;
-            self.timeline.span(
-                self.cpu_track,
-                format!("{executed} r{client}.{index}"),
-                executed.rank() as u32 + 1,
-                admitted,
-                now,
-            );
+            let name = format!("{executed} r{client}.{index}");
+            self.timeline.span(track, name, executed.rank() as u32 + 1, admitted, now);
+        }
+        if let Some(da) = live.map(|d| &mut self.devices[d]) {
+            if let (Some(c), Some(built), Some(b)) = (da.cache.as_mut(), install, bref) {
+                c.insert(b, &da.memory, built);
+            }
+        }
+        if let Some(d) = device {
+            self.devices[d].completed += 1;
         }
 
         self.observe_completion(req, now);
@@ -1221,8 +1340,11 @@ impl<'a> FleetRun<'a> {
 
     fn on_deadline(&mut self, req: usize, now: SimTime) {
         if self.requests[req].done {
-            return;
+            return; // completed in time; stale timer
         }
+        // Cancel cleanly wherever the request is: parked, queued, backing
+        // off, or mid-execution. Every held resource is released *now*,
+        // so the expired request stops occupying the device.
         let st = &mut self.requests[req];
         st.done = true;
         st.running = false;
@@ -1238,7 +1360,7 @@ impl<'a> FleetRun<'a> {
         st.metrics.completed_at = now;
         st.metrics.error = Some(
             JoinError::DeadlineExceeded {
-                deadline: self.svc.config.deadline.unwrap_or(SimTime::ZERO),
+                deadline: self.config.deadline.unwrap_or(SimTime::ZERO),
                 elapsed: now - st.metrics.submitted_at,
             }
             .tag(),
@@ -1254,11 +1376,11 @@ impl<'a> FleetRun<'a> {
             if was_probe {
                 self.devices[d].probe = None;
             }
-            self.devices[d].sample_memory(now);
         }
         self.parked.retain(|&id| id != req);
         self.cpu_queue.retain(|&id| id != req);
-        self.timeline.instant(self.router, format!("deadline r{client}.{index}"), 9, now);
+        let track = self.clients[client];
+        self.timeline.instant(track, format!("deadline r{client}.{index}"), 9, now);
         self.next_submit(client, index, now);
     }
 
@@ -1282,7 +1404,7 @@ impl<'a> FleetRun<'a> {
         let serving = self.serving_devices();
         if serving.len() < n || !serving.contains(&device) {
             // The fleet shrank below the planned width: step down to the
-            // single-device ladder; the retain loop admits it this wave.
+            // single-device ladder; the admission pass admits it this wave.
             let st = &mut self.requests[id];
             st.level = st.level.degraded().unwrap_or(PlannedStrategy::CpuFallback);
             return false;
@@ -1294,68 +1416,39 @@ impl<'a> FleetRun<'a> {
             let Some((r, s)) = self.requests[id].inputs.as_ref() else { return false };
             let (b, p) =
                 if r.len() <= s.len() { (r.bytes(), s.bytes()) } else { (s.bytes(), r.bytes()) };
-            self.svc.engine.cross_device_share(b, p, n)
+            self.engine.cross_device_share(b, p, n)
         };
         let mut holds: Vec<Reservation> = Vec::with_capacity(n);
         for &d in &participants {
             let dev = &mut self.devices[d];
-            let reserved = dev.memory.reserve(share).or_else(|err| match dev.cache.as_mut() {
-                Some(c) => {
-                    if c.reclaim(&dev.memory, share, None) {
-                        dev.memory.reserve(share)
-                    } else {
-                        Err(err)
-                    }
-                }
-                None => Err(err),
-            });
-            match reserved {
-                Ok(res) => holds.push(res),
-                Err(_) => {
+            match reserve_reclaiming(&dev.memory, dev.cache.as_mut(), share, None) {
+                Some(res) => holds.push(res),
+                None => {
                     drop(holds); // release every partial hold
-                    let max_retries = self.svc.config.max_retries;
-                    let base = self.svc.config.backoff_base.as_nanos().max(1);
-                    let cap = self.svc.config.backoff_cap.as_nanos();
-                    let st = &mut self.requests[id];
-                    st.metrics.retries += 1;
-                    st.attempts += 1;
-                    if st.attempts > max_retries {
-                        if let Some(next) = st.level.degraded() {
-                            st.level = next;
-                            st.attempts = 0;
-                        }
-                    }
-                    let delay =
-                        base.saturating_mul(1u64 << (st.attempts.saturating_sub(1)).min(20));
-                    st.eligible_at = now + SimTime::from_nanos(delay.min(cap));
+                    self.requests[id].reject(self.config, now);
                     return false;
                 }
             }
         }
         let used = self.devices[device].memory.used();
         let st = &mut self.requests[id];
-        st.reservation = Some(holds.remove(0));
+        st.admit(holds.remove(0), device, used, now);
         st.extra_reservations = holds;
         st.participants = participants;
-        st.running = true;
-        st.metrics.admitted_at = now;
-        st.metrics.device_used_at_admit = used;
-        st.metrics.device = Some(device);
         self.devices[device].admitted += 1;
         batch.push(id);
         true
     }
 
-    /// One device's admission wave: scan its queue in order, reserve
-    /// against its accountant (reclaiming its cache under pressure),
-    /// degrade on repeated rejection — the single-device wave, per
-    /// device.
+    /// One device's admission wave: scan its queue in order, admit what
+    /// fits its accountant (reclaiming its cache under pressure), and let
+    /// rejected requests back off and degrade.
     fn admission_wave(&mut self, device: usize, now: SimTime, batch: &mut Vec<usize>) {
         let mut queue = std::mem::take(&mut self.devices[device].queue);
         // Cross-device pre-pass: exchange requests reserve one envelope on
-        // *every* participant, so they are admitted before the retain loop
-        // below takes its exclusive borrow of this device.
-        if self.svc.fleet.exchange {
+        // *every* participant, so they are admitted before the
+        // single-device requests of this queue.
+        if self.fleet.exchange {
             let mut rest = VecDeque::with_capacity(queue.len());
             while let Some(id) = queue.pop_front() {
                 let is_cross = self.requests[id].plan.is_none()
@@ -1366,146 +1459,110 @@ impl<'a> FleetRun<'a> {
             }
             queue = rest;
         }
-        let engine = &self.svc.engine;
-        let max_retries = self.svc.config.max_retries;
-        let backoff_base = self.svc.config.backoff_base;
-        let backoff_cap = self.svc.config.backoff_cap;
-        let backoff = |attempts: u32| -> SimTime {
-            let base = backoff_base.as_nanos().max(1);
-            let delay = base.saturating_mul(1u64 << (attempts.saturating_sub(1)).min(20));
-            SimTime::from_nanos(delay.min(backoff_cap.as_nanos()))
-        };
+        queue.retain(|&id| !self.try_admit(device, id, now, batch));
+        self.devices[device].queue = queue;
+    }
+
+    /// Admit one queued request onto `device`, or reject it (backoff,
+    /// eventual degradation). Returns `true` when the request leaves the
+    /// queue.
+    fn try_admit(
+        &mut self,
+        device: usize,
+        id: usize,
+        now: SimTime,
+        batch: &mut Vec<usize>,
+    ) -> bool {
+        let engine = self.engine;
         let d = &mut self.devices[device];
-        let requests = &mut self.requests;
-        let invariants = &mut self.invariants;
-        queue.retain(|&id| {
-            let st = &mut requests[id];
-            if st.eligible_at > now {
-                return true;
-            }
-            if let Some(pw) = st.plan.as_ref() {
-                let estimate = plan_envelope(engine, &pw.spec, pw.degrade);
-                let reserved = d.memory.reserve(estimate).or_else(|err| match d.cache.as_mut() {
-                    Some(c) => {
-                        if c.reclaim(&d.memory, estimate, None) {
-                            d.memory.reserve(estimate)
-                        } else {
-                            Err(err)
-                        }
-                    }
-                    None => Err(err),
-                });
-                return match reserved {
-                    Ok(res) => {
-                        st.reservation = Some(res);
-                        st.running = true;
-                        st.metrics.admitted_at = now;
-                        st.metrics.device_used_at_admit = d.memory.used();
-                        st.metrics.device = Some(device);
-                        d.admitted += 1;
-                        batch.push(id);
-                        false
-                    }
-                    Err(_) => {
-                        st.metrics.retries += 1;
-                        st.attempts += 1;
-                        if st.attempts > max_retries {
-                            let pw = st.plan.as_mut().expect("checked above");
-                            if pw.degrade < PlannedStrategy::LADDER.len() - 1 {
-                                pw.degrade += 1;
-                                st.attempts = 0;
-                            }
-                        }
-                        st.eligible_at = now + backoff(st.attempts.max(1));
-                        true
-                    }
-                };
-            }
+        let st = &mut self.requests[id];
+        if st.eligible_at > now {
+            return false;
+        }
+        let reserved = if let Some(pw) = st.plan.as_ref() {
+            // Plan admission: reserve the worst single-join envelope at the
+            // current degrade level (joins run one wave at a time against
+            // this same accountant; pins reserve separately and
+            // opportunistically).
+            let estimate = plan_envelope(engine, &pw.spec, pw.degrade);
+            reserve_reclaiming(&d.memory, d.cache.as_mut(), estimate, None)
+        } else {
             let Some((r, s)) = st.inputs.as_ref() else {
-                invariants.push(format!("queued request {id} has no inputs at {now}"));
+                // "Cannot happen": only undone requests sit in a queue,
+                // and undone requests keep their inputs. Fail it typed.
+                self.invariants.push(format!("queued request {id} has no inputs at {now}"));
                 st.metrics.error = Some(JoinError::Internal { detail: String::new() }.tag());
                 st.metrics.completed_at = now;
                 st.done = true;
-                return false;
+                return true;
             };
             let (build, probe) = if r.len() <= s.len() { (r, s) } else { (s, r) };
+            // Cache consultation. Only requests that name their build
+            // relation — and whose named side (`spec.r`) actually is the
+            // build side — participate; a stale entry is invalidated the
+            // moment it is observed. A resident entry is reused only at
+            // the GPU-resident rung: once a request degrades it stops
+            // protecting the entry, so reclaim may free it for the probe.
             let bref = if r.len() <= s.len() { st.build } else { None };
+            let resident = st.level == PlannedStrategy::GpuResident;
             let mut role = CacheRole::None;
             if let (Some(c), Some(b)) = (d.cache.as_mut(), bref) {
-                let on_miss = if st.level == PlannedStrategy::GpuResident {
-                    CacheRole::Install
-                } else {
-                    CacheRole::Bypass
-                };
+                let on_miss = if resident { CacheRole::Install } else { CacheRole::Bypass };
                 role = match c.peek(b) {
-                    CachePeek::Hit => CacheRole::Hit,
+                    CachePeek::Hit if resident => CacheRole::Hit,
                     CachePeek::Stale => {
                         c.invalidate(b.id);
                         on_miss
                     }
                     CachePeek::Miss => on_miss,
-                    CachePeek::Newer => CacheRole::Bypass,
+                    CachePeek::Hit | CachePeek::Newer => CacheRole::Bypass,
                 };
             }
-            let estimate = match role {
-                CacheRole::Hit => engine.cached_probe_estimate(probe),
-                _ => engine.footprint_estimate(st.level, build, probe),
+            // A hit reserves only the probe-side footprint — the cached
+            // table's bytes are already reserved by its entry, which must
+            // survive the reclaim that makes room for its own probe.
+            let (estimate, protect) = match role {
+                CacheRole::Hit => (engine.cached_probe_estimate(probe), bref.map(|b| b.id)),
+                _ => (engine.footprint_estimate(st.level, build, probe), None),
             };
-            let protect = if role == CacheRole::Hit { bref.map(|b| b.id) } else { None };
-            let reserved = d.memory.reserve(estimate).or_else(|err| match d.cache.as_mut() {
-                Some(c) => {
-                    if c.reclaim(&d.memory, estimate, protect) {
-                        d.memory.reserve(estimate)
-                    } else {
-                        Err(err)
-                    }
-                }
-                None => Err(err),
-            });
-            match reserved {
-                Ok(res) => {
-                    st.reservation = Some(res);
-                    st.running = true;
-                    st.metrics.admitted_at = now;
-                    st.metrics.device_used_at_admit = d.memory.used();
-                    st.metrics.device = Some(device);
-                    if let Some(c) = d.cache.as_mut() {
-                        match role {
-                            CacheRole::Hit => match bref.and_then(|b| c.hit(b.id)) {
-                                Some(table) => st.hit = Some(table),
-                                None => {
-                                    invariants.push(format!(
-                                        "cache hit for request {id} vanished before pinning \
-                                         at {now}"
-                                    ));
-                                    role = CacheRole::Bypass;
-                                    c.miss();
-                                }
-                            },
-                            CacheRole::Install | CacheRole::Bypass => c.miss(),
-                            CacheRole::None => {}
+            let reserved = reserve_reclaiming(&d.memory, d.cache.as_mut(), estimate, protect);
+            // Record the cache outcome once, at successful admission, so
+            // backoff retries don't inflate the hit/miss counts.
+            if let (Some(_), Some(c)) = (&reserved, d.cache.as_mut()) {
+                match role {
+                    CacheRole::Hit => match bref.and_then(|b| c.hit(b.id)) {
+                        Some(table) => st.hit = Some(table),
+                        None => {
+                            // "Cannot happen": the entry was peeked in this
+                            // same wave. Degrade to a bypass.
+                            self.invariants.push(format!(
+                                "cache hit for request {id} vanished before pinning at {now}"
+                            ));
+                            role = CacheRole::Bypass;
+                            c.miss();
                         }
-                    }
-                    st.metrics.cache_role = role;
-                    d.admitted += 1;
-                    batch.push(id);
-                    false
-                }
-                Err(_) => {
-                    st.metrics.retries += 1;
-                    st.attempts += 1;
-                    if st.attempts > max_retries {
-                        if let Some(next) = st.level.degraded() {
-                            st.level = next;
-                            st.attempts = 0;
-                        }
-                    }
-                    st.eligible_at = now + backoff(st.attempts.max(1));
-                    true
+                    },
+                    CacheRole::Install | CacheRole::Bypass => c.miss(),
+                    CacheRole::None => {}
                 }
             }
-        });
-        self.devices[device].queue = queue;
+            if reserved.is_some() {
+                st.metrics.cache_role = role;
+            }
+            reserved
+        };
+        match reserved {
+            Some(res) => {
+                st.admit(res, device, d.memory.used(), now);
+                d.admitted += 1;
+                batch.push(id);
+                true
+            }
+            None => {
+                st.reject(self.config, now);
+                false
+            }
+        }
     }
 
     /// Execute the admitted batch: single joins (device lanes and the CPU
@@ -1518,7 +1575,7 @@ impl<'a> FleetRun<'a> {
         let (cross, singles): (Vec<usize>, Vec<usize>) =
             rest.into_iter().partition(|&id| !self.requests[id].participants.is_empty());
 
-        let engine = &self.svc.engine;
+        let engine = self.engine;
         let requests = &self.requests;
         let results: Vec<Executed> = Pool::current().map(&singles, |_, &id| {
             let st = &requests[id];
@@ -1549,6 +1606,16 @@ impl<'a> FleetRun<'a> {
                 };
             };
             let expected = JoinCheck::compute(r, s);
+            // Cache-aware execution. A hit probes the pinned resident
+            // table — no rebuild, no build-side transfer. Everything else
+            // with a *named* build side running GPU-resident takes the
+            // staged cold path (inputs arrive from the host per request,
+            // so a cached and an uncached run of the same stream compare
+            // counter-for-counter); only an `Install` keeps the table it
+            // built. Unnamed, degraded or CPU-lane requests execute the
+            // regular ladder, and a failing cached path falls back onto
+            // it too. Admission guaranteed `r` is the build side whenever
+            // a cache role is set.
             let start = if st.cpu { PlannedStrategy::CpuFallback } else { st.level };
             let role = st.metrics.cache_role;
             let named_build = st.build.is_some() && r.len() <= s.len();
@@ -1634,20 +1701,13 @@ impl<'a> FleetRun<'a> {
             if st.cpu {
                 st.running = true;
             }
-            if let Some(d) = st.metrics.device {
-                if st.metrics.cache_role == CacheRole::Hit && st.metrics.error.is_none() {
-                    let track = self.devices[d].exec;
-                    self.devices[d].timeline.instant(
-                        track,
-                        format!("cache hit r{}.{}", st.metrics.client, st.metrics.index),
-                        10,
-                        admitted,
-                    );
-                }
-                let track = self.devices[d].exec;
-                for (offset, label) in exec.fault_marks {
-                    self.devices[d].timeline.instant(track, label, 8, admitted + offset);
-                }
+            let (client, index) = (st.metrics.client, st.metrics.index);
+            let track = self.clients[client];
+            if st.metrics.cache_role == CacheRole::Hit && st.metrics.error.is_none() {
+                self.timeline.instant(track, format!("cache hit r{client}.{index}"), 10, admitted);
+            }
+            for (offset, label) in exec.fault_marks {
+                self.timeline.instant(track, label, 8, admitted + offset);
             }
             // Inputs stay held until the Complete finalizes: a device
             // loss mid-flight drains this request, and the re-dispatch on
@@ -1676,7 +1736,7 @@ impl<'a> FleetRun<'a> {
                             .collect();
                         let host = HostSpec::dual_xeon_e5_2650l_v3();
                         let result = execute_exchange(
-                            &self.svc.engine,
+                            self.engine,
                             &participants,
                             r,
                             s,
@@ -1735,12 +1795,12 @@ impl<'a> FleetRun<'a> {
                 self.schedule(now + SimTime::from_nanos(1), Event::Complete { req: id, epoch });
                 continue;
             };
-            let reseeded = self.svc.engine.config.faults.as_ref().map(|f| {
-                let mut e = self.svc.engine.clone();
+            let reseeded = self.engine.config.faults.as_ref().map(|f| {
+                let mut e = self.engine.clone();
                 e.config = e.config.clone().with_faults(f.reseeded_pair(device as u64, id as u64));
                 e
             });
-            let engine = reseeded.as_ref().unwrap_or(&self.svc.engine);
+            let engine = reseeded.as_ref().unwrap_or(self.engine);
             let d = &mut self.devices[device];
             let run = execute_plan(engine, &spec, scans, degrade, &d.memory, d.cache.as_mut());
             let st = &mut self.requests[id];
@@ -1766,8 +1826,8 @@ impl<'a> FleetRun<'a> {
 
     /// Drain bookkeeping into the final [`ServiceReport`].
     fn finish(mut self) -> ServiceReport {
-        // Release anything stranded (mirrors the single-device service);
-        // a healthy run has nothing left to release.
+        // Release anything stranded so cached bytes and pins free before
+        // the leak audit; a healthy run has nothing left to release.
         for st in self.requests.iter_mut() {
             st.reservation = None;
             st.extra_reservations.clear();
@@ -1941,7 +2001,7 @@ mod tests {
         // no single device fits the resident join, but two exchange
         // shares do. With exchange on the planner must go cross-device,
         // the join must complete oracle-correct, and the exchange bytes
-        // must surface in the (conditional) summary lines.
+        // must surface in the summary lines.
         use crate::service::RequestSpec;
         use hcj_workload::RelationSpec;
         let workload = vec![ClientSpec {
@@ -1961,20 +2021,24 @@ mod tests {
         assert_eq!(exchanged.completed(), 1, "{summary}");
         assert_eq!(exchanged.checks_passed(), 1, "{summary}");
         assert_eq!(exchanged.cross_device(), 1, "planner kept it single-device:\n{summary}");
-        assert!(summary.contains("executed cross-device"), "{summary}");
-        assert!(summary.contains("exchange out / in"), "{summary}");
+        assert!(summary.contains(&format!("{:<26}1\n", "executed cross-device")), "{summary}");
+        let c = exchanged.counters_total();
+        assert!(c.exchange_out_bytes > 0, "{summary}");
+        assert_eq!(c.exchange_out_bytes, c.exchange_in_bytes, "{summary}");
         assert!(exchanged.invariant_violations.is_empty(), "{:?}", exchanged.invariant_violations);
         assert_eq!(exchanged.device_used_at_end, 0, "leaked exchange envelopes:\n{summary}");
 
         // The same workload with exchange off stays on the single-device
-        // ladder and prints none of the conditional lines.
+        // ladder: zero cross-device requests and zero exchanged bytes.
         let plain =
             FleetService::new(small_engine(None), ServiceConfig::default(), FleetConfig::new(3))
                 .run(&workload);
+        let summary = plain.summary();
         assert_eq!(plain.cross_device(), 0);
-        assert!(!plain.summary().contains("cross-device"), "{}", plain.summary());
-        assert!(!plain.summary().contains("exchange"), "{}", plain.summary());
-        assert_eq!(plain.checks_passed(), 1, "{}", plain.summary());
+        assert!(summary.contains(&format!("{:<26}0\n", "executed cross-device")), "{summary}");
+        assert!(summary.contains(&format!("{:<26}0\n", "exchange transfers")), "{summary}");
+        assert!(summary.contains(&format!("{:<26}0 B / 0 B\n", "exchange out / in")), "{summary}");
+        assert_eq!(plain.checks_passed(), 1, "{summary}");
     }
 
     #[test]

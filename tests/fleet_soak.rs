@@ -6,6 +6,7 @@
 //! counts.
 
 use hashjoin_gpu::prelude::*;
+use hashjoin_gpu::sim::SimTime;
 
 /// The `serve --devices 3 --chaos 8 --cache` regime: 16 clients x 25
 /// mixed requests against three 512 KB devices, the chaos fault plan
@@ -174,4 +175,94 @@ fn unfaulted_fleet_spreads_tenants_and_completes_everything() {
             "client {c} bounced across devices {devices:?} with no pressure:\n{summary}"
         );
     }
+}
+
+/// The `serve --quick --chaos S --deadline-ms 50` regime on the
+/// single-device service (a 1-device fleet): 8 clients x 25 mixed
+/// requests against one 512 KB device.
+fn lone_device_run(fault_seed: u64) -> ServiceReport {
+    let device = DeviceSpec::gtx1080().scaled_capacity(1 << 14);
+    let engine = HcjEngine::new(
+        GpuJoinConfig::paper_default(device)
+            .with_radix_bits(8)
+            .with_tuned_buckets(4_000)
+            .with_faults(FaultConfig::chaos(fault_seed)),
+    );
+    let config = ServiceConfig::default().with_deadline(Some(SimTime::from_nanos(50_000_000)));
+    JoinService::new(engine, config).run(&mixed_workload(8, 25, 1_000, 1))
+}
+
+/// Summary lines every run prints that the pre-fleet single-device
+/// summary did not: the fleet block and the always-present cross-device,
+/// exchange, cache and plan lines.
+fn is_topology_or_feature_line(line: &str) -> bool {
+    let per_device = line
+        .strip_prefix("device ")
+        .is_some_and(|rest| rest.starts_with(|c: char| c.is_ascii_digit()));
+    per_device
+        || ["fleet ", "executed cross-device", "exchange ", "cache ", "plan ", "intermediates "]
+            .iter()
+            .any(|prefix| line.starts_with(prefix))
+}
+
+#[test]
+fn lone_device_breaker_never_trips_without_a_peer() {
+    // Chaos seed 11 piles enough transient faults onto the lone device to
+    // fill its breaker window. Quarantine would have nowhere to shift the
+    // load, so the breaker stays closed and every line the summaries share
+    // with the golden (a single-device summary of this run that predates
+    // the fleet block and the always-present feature lines) is unchanged.
+    let report = lone_device_run(11);
+    let summary = report.summary();
+    let fleet = report.fleet.as_ref().expect("every run attaches a rollup");
+    assert_eq!(fleet.devices.len(), 1);
+    assert_eq!(fleet.breaker_trips, 0, "a lone device must not trip:\n{summary}");
+    assert_eq!(fleet.cpu_spilled, 0, "nothing leaves the device:\n{summary}");
+    assert!(
+        fleet.devices[0].transitions.iter().all(|(_, h)| *h != DeviceHealth::Quarantined),
+        "{summary}"
+    );
+    let kept: String = summary
+        .lines()
+        .filter(|l| !is_topology_or_feature_line(l))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(kept, include_str!("golden/lone_device_chaos11.txt"), "full summary:\n{summary}");
+}
+
+#[test]
+fn lone_device_loss_is_sticky_and_later_joins_run_on_the_cpu_lane() {
+    // Chaos seed 23 surfaces device-lost on the lone device. Loss is
+    // terminal on every topology: the device drains, and every request
+    // submitted afterwards runs host-side, still oracle-correct.
+    let workload = mixed_workload(8, 25, 1_000, 1);
+    let total: usize = workload.iter().map(|c| c.requests.len()).sum();
+    let mut summaries = Vec::new();
+    for jobs in [1usize, 4] {
+        hashjoin_gpu::host::pool::set_jobs(jobs);
+        let report = lone_device_run(23);
+        let summary = report.summary();
+        let fleet = report.fleet.as_ref().expect("every run attaches a rollup");
+        assert_eq!(fleet.lost(), 1, "seed 23 must lose the device:\n{summary}");
+        let &(lost_at, _) = fleet.devices[0]
+            .transitions
+            .iter()
+            .find(|(_, h)| *h == DeviceHealth::Lost)
+            .expect("the loss is recorded");
+        let later: Vec<_> = report.requests.iter().filter(|m| m.submitted_at > lost_at).collect();
+        assert!(!later.is_empty(), "requests arrive after the loss:\n{summary}");
+        for m in later {
+            assert_eq!(m.device, None, "client {} #{} ran on a lost device", m.client, m.index);
+            assert_eq!(m.executed, Some(PlannedStrategy::CpuFallback), "{summary}");
+        }
+        let accounted = report.completed() + report.deadline_exceeded() + report.errored();
+        assert_eq!(accounted, total, "every request is accounted for:\n{summary}");
+        assert_eq!(report.checks_passed(), report.completed(), "{summary}");
+        assert_eq!(report.device_used_at_end, 0, "no bytes leak:\n{summary}");
+        assert_eq!(fleet.devices[0].used_at_end, 0, "{summary}");
+        assert!(report.invariant_violations.is_empty(), "{:?}", report.invariant_violations);
+        summaries.push(summary);
+    }
+    hashjoin_gpu::host::pool::set_jobs(1);
+    assert_eq!(summaries[0], summaries[1], "jobs 1 vs 4: identical");
 }
